@@ -93,14 +93,10 @@ func (nx *NestedIndexNX) LookupRange(lo, hi oodb.Value, targetClass string, hier
 	if err != nil {
 		return nil, err
 	}
-	var out []oodb.OID
-	nx.tree.ScanInto(elo, ehi, func(k, v []byte) bool {
-		got, derr := decodeOIDSet(v)
-		if derr == nil {
-			out = append(out, got...)
-		}
-		return true
-	})
+	out, err := scanOIDSets(nx.tree, elo, ehi, nil)
+	if err != nil {
+		return nil, err
+	}
 	return nx.filter(oodb.SortUnique(out), targetClass, hierarchy), nil
 }
 

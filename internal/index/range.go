@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 
+	"repro/internal/btree"
 	"repro/internal/oodb"
 )
 
@@ -19,6 +20,18 @@ func rangeBounds(lo, hi oodb.Value) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("index: range bounds of different kinds")
 	}
 	return EncodeValue(lo), EncodeValue(hi), nil
+}
+
+// scanOIDSets appends the OIDs of every posting list keyed in [lo, hi) to
+// dst. A posting list that does not decode stops the scan and fails it:
+// skipping it would return a partial answer.
+func scanOIDSets(tree *btree.Tree, lo, hi []byte, dst []oodb.OID) ([]oodb.OID, error) {
+	var err error
+	tree.ScanInto(lo, hi, func(k, v []byte) bool {
+		dst, err = appendOIDSet(dst, v)
+		return err == nil
+	})
+	return dst, err
 }
 
 // LookupRange returns the OIDs of targetClass objects whose nested ending
@@ -39,13 +52,9 @@ func (mx *MultiIndex) LookupRange(lo, hi oodb.Value, targetClass string, hierarc
 		if l == mx.sp.B && !mx.sp.targetMatch(cn, targetClass, hierarchy) {
 			continue
 		}
-		ai.tree.ScanInto(elo, ehi, func(k, v []byte) bool {
-			got, derr := decodeOIDSet(v)
-			if derr == nil {
-				oids = append(oids, got...)
-			}
-			return true
-		})
+		if oids, err = scanOIDSets(ai.tree, elo, ehi, oids); err != nil {
+			return nil, err
+		}
 	}
 	oids = oodb.SortUnique(oids)
 	if l == mx.sp.B {
@@ -97,14 +106,10 @@ func (mix *MultiInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass strin
 	if !ok {
 		return nil, fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	var oids []oodb.OID
-	mix.byLevel[mix.sp.B-mix.sp.A].tree.ScanInto(elo, ehi, func(k, v []byte) bool {
-		got, derr := decodeOIDSet(v)
-		if derr == nil {
-			oids = append(oids, got...)
-		}
-		return true
-	})
+	oids, err := scanOIDSets(mix.byLevel[mix.sp.B-mix.sp.A].tree, elo, ehi, nil)
+	if err != nil {
+		return nil, err
+	}
 	oids = oodb.SortUnique(oids)
 	for i := mix.sp.B - 1; i >= l; i-- {
 		var next []oodb.OID

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 )
@@ -104,5 +105,41 @@ func TestLookupRangeOnIntegers(t *testing.T) {
 	want := oodb.SortUnique([]oodb.OID{oids[2], oids[3], oids[4]})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("integer range = %v, want %v", got, want)
+	}
+}
+
+// TestLookupRangeCorruptPostingList plants a truncated posting list inside
+// the scanned range of every organization whose range scan decodes OID
+// sets; the scan must fail rather than return the other lists' OIDs as a
+// partial answer.
+func TestLookupRangeCorruptPostingList(t *testing.T) {
+	f := buildFixture(t, 23, 6, 30, 40)
+	mx := f.buildIndex(t, "MX").(*MultiIndex)
+	mix := f.buildIndex(t, "MIX").(*MultiInheritedIndex)
+	nx := buildNX(t, f)
+	end := mx.sp.B - mx.sp.A
+	for _, tc := range []struct {
+		name string
+		tree *btree.Tree
+		ix   PathIndex
+	}{
+		{"MX", mx.byLevel[end]["Company"].tree, mx},
+		{"MIX", mix.byLevel[end].tree, mix},
+		{"NX", nx.tree, nx},
+	} {
+		key := EncodeValue(oodb.StrV("brand-02"))
+		if !tc.tree.Update(key, func(old []byte) []byte { return old[:len(old)-1] }) {
+			t.Fatalf("%s: no posting list for brand-02", tc.name)
+		}
+		targets := []string{"Person", "Company"}
+		if tc.name == "NX" {
+			targets = targets[:1] // NX answers starting-class queries only
+		}
+		for _, class := range targets {
+			got, err := tc.ix.LookupRange(oodb.StrV("brand-00"), oodb.StrV("brand-99"), class, false)
+			if err == nil {
+				t.Errorf("%s LookupRange(%s) over a truncated posting list = %v, nil error", tc.name, class, got)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ package oodb
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -25,14 +26,38 @@ var ErrNotFound = errors.New("object not found")
 // OID identifies an object; zero is never valid.
 type OID uint64
 
+// Cutoffs of SortUnique's dense path. A set of at least denseMinLen OIDs
+// whose span [lo, hi] fits in at most denseMaxWords 64-bit words, and in
+// at most denseWordsPerOID words per input OID, is normalized through a
+// bitset instead of a sort.
+const (
+	denseMinLen      = 32
+	denseMaxWords    = 1024
+	denseWordsPerOID = 4
+)
+
+// denseBits pools the dense path's bitsets. Every bitset goes back to the
+// pool all zero (the emit loop clears each word it reads), so a Get never
+// needs clearing. A pool rather than a stack array keeps the 8 KiB buffer
+// off the stacks of short-lived fan-out goroutines.
+var denseBits = sync.Pool{New: func() any { return new([denseMaxWords]uint64) }}
+
 // SortUnique sorts oids in place and removes duplicates, returning the
-// deduplicated prefix (nil when empty). It is the one OID set
-// normalization shared by the executor and every index organization:
-// closure-free (no sort.Slice allocation) and allocation-free, so it can
-// sit on the serving hot path.
+// deduplicated prefix oids[:k] (nil when empty). It is the one OID set
+// normalization shared by the executor and every index organization, and
+// it does not allocate, so it can sit on the serving hot path.
+//
+// One min/max pass picks the kernel. A set whose span is dense — at least
+// denseMinLen OIDs over at most denseMaxWords words and at most
+// denseWordsPerOID words per OID — sets one bit per OID in a pooled
+// bitset and writes the set bits back in ascending order: O(n + words).
+// Any other set is sorted (pdqsort) and compacted: O(n log n).
 func SortUnique(oids []OID) []OID {
 	if len(oids) == 0 {
 		return nil
+	}
+	if lo, words, ok := denseSpan(oids); ok {
+		return denseUnique(oids, lo, words)
 	}
 	slices.Sort(oids)
 	out := oids[:1]
@@ -42,6 +67,48 @@ func SortUnique(oids []OID) []OID {
 		}
 	}
 	return out
+}
+
+// denseSpan reports whether a non-empty oids takes SortUnique's dense
+// path, and if so the span's low end and its length in words.
+func denseSpan(oids []OID) (lo OID, words int, ok bool) {
+	lo, hi := oids[0], oids[0]
+	for _, o := range oids[1:] {
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	// hi-lo cannot overflow, and the shift keeps the word count in range
+	// before it is compared: a span near 2^64 is simply sparse.
+	w := uint64(hi-lo)>>6 + 1
+	if len(oids) < denseMinLen || w > denseMaxWords || w > denseWordsPerOID*uint64(len(oids)) {
+		return 0, 0, false
+	}
+	return lo, int(w), true
+}
+
+// denseUnique is SortUnique's dense path over words 64-bit words starting
+// at lo. Every OID has been read into the bitset before the first is
+// written back, so the in-place emit is safe.
+func denseUnique(oids []OID, lo OID, words int) []OID {
+	buf := denseBits.Get().(*[denseMaxWords]uint64)
+	set := buf[:words]
+	for _, o := range oids {
+		d := uint64(o - lo)
+		set[d>>6] |= 1 << (d & 63)
+	}
+	k := 0
+	for i, w := range set {
+		if w == 0 {
+			continue
+		}
+		set[i] = 0
+		base := lo + OID(i)<<6
+		for ; w != 0; w &= w - 1 {
+			oids[k] = base + OID(bits.TrailingZeros64(w))
+			k++
+		}
+	}
+	denseBits.Put(buf)
+	return oids[:k]
 }
 
 // ValueKind discriminates attribute values.
