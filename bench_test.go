@@ -103,33 +103,41 @@ func BenchmarkSelectionDP(b *testing.B) {
 
 // BenchmarkCostMatrix measures Cost_Matrix construction alone (the
 // dominant term the paper's complexity discussion identifies for
-// practical path lengths), on Figure 7 and on longer chains where the
-// bounded worker pool engages.
+// practical path lengths), on Figure 7, on longer chains where the
+// bounded worker pool engages, on the largest chain shape an advisor
+// decision prices (n=12, 50000 objects per class, 5000 distinct values,
+// fan-out 3), and on that chain with range-priced queries.
 func BenchmarkCostMatrix(b *testing.B) {
-	b.Run("fig7", func(b *testing.B) {
-		ps := model.Figure7Stats()
-		b.ResetTimer()
+	run := func(b *testing.B, ps *model.PathStats) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.NewMatrixFromStats(ps, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	chain := func(b *testing.B, n int, nObj, d, fan float64) *model.PathStats {
+		ps, err := experiments.ChainStats(n, nObj, d, fan,
+			model.Load{Alpha: 0.3, Beta: 0.1, Gamma: 0.1}, model.PaperParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ps
+	}
+	b.Run("fig7", func(b *testing.B) { run(b, model.Figure7Stats()) })
 	for _, n := range []int{8, 16} {
 		b.Run(fmt.Sprintf("chain-n=%d", n), func(b *testing.B) {
-			ps, err := experiments.ChainStats(n, 20000, 2000, 2,
-				model.Load{Alpha: 0.3, Beta: 0.1, Gamma: 0.1}, model.PaperParams())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.NewMatrixFromStats(ps, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, chain(b, n, 20000, 2000, 2))
 		})
 	}
+	b.Run("advise-n=12", func(b *testing.B) {
+		run(b, chain(b, 12, 50000, 5000, 3))
+	})
+	b.Run("range-n=12", func(b *testing.B) {
+		ps := chain(b, 12, 50000, 5000, 3)
+		ps.Selectivity = 0.05
+		run(b, ps)
+	})
 }
 
 // BenchmarkValidation regenerates experiment V1 (analytic vs measured).

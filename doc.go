@@ -58,10 +58,11 @@
 // allocation-free over a fixed matrix: their Into variants reuse the
 // caller's result buffers and report 0 allocs/op under -benchmem.
 // Matrix construction parallelizes the independent subpath cells over a
-// bounded worker pool and memoizes the per-level index geometries, noid
-// chains and Yao evaluations that adjacent subpaths share; the memoized
-// path is bit-identical to the straightforward one (enforced by
-// equivalence tests). On the reference container this makes the n=12
+// bounded worker pool and computes once per path the per-level index
+// geometries, noid chains and level-only MX/MIX costs that adjacent
+// subpaths share; Yao's function is evaluated in closed form (O(1) per
+// call), so nothing is memoized, and the shared path is bit-identical to
+// the straightforward one (enforced by equivalence tests). On the reference container this makes the n=12
 // branch-and-bound about 20x faster than the map-backed seed engine and
 // Figure 7 matrix construction about 2.4x faster on a single core, with
 // construction additionally scaling across cores.

@@ -145,10 +145,9 @@ const parallelMinCells = 48
 
 // buildFromStats fills m from statistics, reusing m's buffers. Up to
 // maxWorkers goroutines compute the independent subpath cells (1 means
-// serial — used by callers that already parallelize across paths); each
-// worker forks the shared geometry memo so no locks are taken on the hot
-// path. Construction stays serial for matrices too small to amortize the
-// goroutines.
+// serial — used by callers that already parallelize across paths), all
+// reading one immutable table of per-level costs. Construction stays
+// serial for matrices too small to amortize the goroutines.
 func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization, maxWorkers int) error {
 	if err := ps.Validate(); err != nil {
 		return err
@@ -162,7 +161,7 @@ func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization, m
 	k := len(orgs)
 	nsub := m.nsub()
 
-	compute := func(ti int, sh *cost.Shared) error {
+	compute := func(ti int) error {
 		a, b := m.subpathAt(ti)
 		base := ti * k
 		for i, org := range orgs {
@@ -181,21 +180,17 @@ func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization, m
 	}
 	if workers < 2 || nsub*k < parallelMinCells {
 		for ti := 0; ti < nsub; ti++ {
-			if err := compute(ti, sh); err != nil {
+			if err := compute(ti); err != nil {
 				return err
 			}
 		}
 	} else {
-		forks := make([]*cost.Shared, workers)
 		errs := make([]error, workers)
 		ParallelFor(nsub, workers, func(w, ti int) {
 			if errs[w] != nil {
 				return
 			}
-			if forks[w] == nil {
-				forks[w] = sh.Fork()
-			}
-			errs[w] = compute(ti, forks[w])
+			errs[w] = compute(ti)
 		})
 		for _, err := range errs {
 			if err != nil {

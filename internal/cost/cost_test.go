@@ -44,19 +44,31 @@ func TestYaoKnownValue(t *testing.T) {
 }
 
 func TestYaoProperties(t *testing.T) {
-	// 0 <= Yao <= min(t, m); monotone in t.
-	f := func(rt, rn, rm uint16) bool {
-		tt := float64(rt%1000) + 1
-		n := float64(rn%10000) + 1
-		m := float64(rm%100) + 1
+	// 0 <= Yao <= min(t, n, m); monotone in t. t and m are log-uniform
+	// (t in [1, n], m in [1, 2n] so the m>n clamp is exercised) and n
+	// reaches 1e6, so both sides of yaoExactMax are checked.
+	logUniform := func(r uint32, hi float64) float64 {
+		return math.Floor(math.Pow(hi, float64(r)/math.MaxUint32))
+	}
+	f := func(rt, rn, rm uint32) bool {
+		n := float64(rn%1_000_000) + 1
+		m := logUniform(rm, 2*n)
+		tt := logUniform(rt, n)
 		got := Yao(tt, n, m)
-		if got < 0 || got > math.Min(n, m)+1e-9 || got > tt+1e-9 {
+		tol := 1e-9 * math.Max(1, got)
+		if got < 0 || got > math.Min(n, m)+tol || got > tt+tol {
 			return false
 		}
-		return Yao(tt+1, n, m) >= got-1e-9
+		return Yao(tt+1, n, m) >= got-tol
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	// Monotone across the switch from the product loop to the closed form.
+	for _, nm := range [][2]float64{{100, 10}, {1000, 999}, {2e4, 200}, {1e6, 1e4}, {1e6, 1e6}} {
+		if lo, hi := Yao(yaoExactMax, nm[0], nm[1]), Yao(yaoExactMax+1, nm[0], nm[1]); hi < lo {
+			t.Errorf("Yao(%d, %g, %g) = %.17g > Yao(%d, ...) = %.17g", yaoExactMax, nm[0], nm[1], lo, yaoExactMax+1, hi)
+		}
 	}
 }
 

@@ -81,17 +81,17 @@ type Evaluator struct {
 	B   int // last level of the subpath
 	Org Organization
 
-	// sh, when non-nil, supplies memoized per-level geometry, noid chains
-	// and Yao evaluations shared across the evaluators of one path.
+	// sh, when non-nil, supplies the per-level tables and noid chains
+	// shared across the evaluators of one path.
 	sh *Shared
 	// extG caches the PX/NX structure geometry, which depends only on the
 	// subpath bounds and is otherwise re-derived per priced operation.
 	extG *Geom
 
-	// MX: one geometry per class per level (indexed [level-A][classIdx]).
-	mxGeom [][]*Geom
-	// MIX: one geometry per level.
-	mixGeom []*Geom
+	// MX: per-class geometry and level costs (indexed [level-A]).
+	mx []mxLevel
+	// MIX: hierarchy-wide geometry and level costs (indexed [level-A]).
+	mix []mixLevel
 	// NIX: primary and auxiliary geometry plus per-class record sections.
 	nixPrimary *Geom
 	nixAux     *Geom
@@ -108,10 +108,10 @@ func NewEvaluator(ps *model.PathStats, a, b int, org Organization) (*Evaluator, 
 	return newEvaluator(ps, a, b, org, nil)
 }
 
-// NewEvaluatorShared is NewEvaluator drawing the per-level geometry and
-// noid chains from sh instead of re-deriving them, and routing the Yao
-// evaluations through sh's memo. sh must have been built from the same
-// (validated) statistics; results are bit-identical to NewEvaluator's.
+// NewEvaluatorShared is NewEvaluator drawing the per-level geometry, level
+// costs and noid chains from sh instead of re-deriving them. sh must have
+// been built from the same (validated) statistics; results are
+// bit-identical to NewEvaluator's.
 func NewEvaluatorShared(ps *model.PathStats, a, b int, org Organization, sh *Shared) (*Evaluator, error) {
 	return newEvaluator(ps, a, b, org, sh)
 }
@@ -140,21 +140,21 @@ func newEvaluator(ps *model.PathStats, a, b int, org Organization, sh *Shared) (
 	switch org {
 	case MX:
 		if sh != nil {
-			e.mxGeom = sh.mx[a-1 : b]
+			e.mx = sh.mx[a-1 : b]
 			break
 		}
-		e.mxGeom = make([][]*Geom, b-a+1)
+		e.mx = make([]mxLevel, b-a+1)
 		for l := a; l <= b; l++ {
-			e.mxGeom[l-a] = mxGeomsAt(ps, l)
+			e.mx[l-a] = mxLevelAt(ps, l, e.feed(l))
 		}
 	case MIX:
 		if sh != nil {
-			e.mixGeom = sh.mix[a-1 : b]
+			e.mix = sh.mix[a-1 : b]
 			break
 		}
-		e.mixGeom = make([]*Geom, b-a+1)
+		e.mix = make([]mixLevel, b-a+1)
 		for l := a; l <= b; l++ {
-			e.mixGeom[l-a] = mixGeomAt(ps, l)
+			e.mix[l-a] = mixLevelAt(ps, l, e.feed(l))
 		}
 	case NIX:
 		// Primary index: keyed by values of A_B across the ending hierarchy.
@@ -233,37 +233,6 @@ func (e *Evaluator) feed(i int) float64 {
 	return e.PS.NoidStar(i + 1)
 }
 
-// crt, cmt, crr and yao evaluate the Section 3.1 cost functions through
-// the shared memo when one is attached; identical arguments are computed
-// once per path instead of once per subpath.
-func (e *Evaluator) crt(g *Geom, t, pr float64) float64 {
-	if e.sh != nil {
-		return e.sh.crt(g, t, pr)
-	}
-	return CRT(g, t, pr)
-}
-
-func (e *Evaluator) cmt(g *Geom, t, pm float64) float64 {
-	if e.sh != nil {
-		return e.sh.cmt(g, t, pm)
-	}
-	return CMT(g, t, pm)
-}
-
-func (e *Evaluator) crr(t float64, aux *Geom) float64 {
-	if e.sh != nil {
-		return e.sh.crr(t, aux)
-	}
-	return CRR(t, aux)
-}
-
-func (e *Evaluator) yao(t, n, m float64) float64 {
-	if e.sh != nil {
-		return e.sh.yao(t, n, m)
-	}
-	return Yao(t, n, m)
-}
-
 // classIdx resolves a class name within level l.
 func (e *Evaluator) classIdx(l int, class string) (int, error) {
 	for i, c := range e.PS.Level(l).Classes {
@@ -290,22 +259,22 @@ func (e *Evaluator) Query(l int, class string) (float64, error) {
 	case MX:
 		// Probe the class's own index at level l, then every class's index
 		// at deeper levels l+1..B.
-		s := e.crt(e.mxGeom[l-e.A][x], e.feed(l), 0)
+		s := e.mx[l-e.A].crt[x]
 		for i := l + 1; i <= e.B; i++ {
-			for j := range e.PS.Level(i).Classes {
-				s += e.crt(e.mxGeom[i-e.A][j], e.feed(i), 0)
+			for _, c := range e.mx[i-e.A].crt {
+				s += c
 			}
 		}
 		return s, nil
 	case MIX:
 		var s float64
 		for i := l; i <= e.B; i++ {
-			s += e.crt(e.mixGeom[i-e.A], e.feed(i), 0)
+			s += e.mix[i-e.A].crt
 		}
 		return s, nil
 	case NIX:
-		pr := e.nixPR([][2]int{{l, x}})
-		return e.crt(e.nixPrimary, e.feed(e.B), pr), nil
+		pr := e.nixPR(e.nixSection[l-e.A][x : x+1])
+		return CRT(e.nixPrimary, e.feed(e.B), pr), nil
 	case PX, NX:
 		return e.extQuery(l, false)
 	case NONE:
@@ -324,12 +293,9 @@ func (e *Evaluator) QueryHierarchy(l int) (float64, error) {
 	switch e.Org {
 	case MX:
 		var s float64
-		for j := range e.PS.Level(l).Classes {
-			s += e.crt(e.mxGeom[l-e.A][j], e.feed(l), 0)
-		}
-		for i := l + 1; i <= e.B; i++ {
-			for j := range e.PS.Level(i).Classes {
-				s += e.crt(e.mxGeom[i-e.A][j], e.feed(i), 0)
+		for i := l; i <= e.B; i++ {
+			for _, c := range e.mx[i-e.A].crt {
+				s += c
 			}
 		}
 		return s, nil
@@ -337,16 +303,12 @@ func (e *Evaluator) QueryHierarchy(l int) (float64, error) {
 		// The hierarchy-wide index returns all classes' OIDs in one lookup.
 		var s float64
 		for i := l; i <= e.B; i++ {
-			s += e.crt(e.mixGeom[i-e.A], e.feed(i), 0)
+			s += e.mix[i-e.A].crt
 		}
 		return s, nil
 	case NIX:
-		var secs [][2]int
-		for j := range e.PS.Level(l).Classes {
-			secs = append(secs, [2]int{l, j})
-		}
-		pr := e.nixPR(secs)
-		return e.crt(e.nixPrimary, e.feed(e.B), pr), nil
+		pr := e.nixPR(e.nixSection[l-e.A])
+		return CRT(e.nixPrimary, e.feed(e.B), pr), nil
 	case PX, NX:
 		return e.extQuery(l, true)
 	case NONE:
@@ -356,16 +318,17 @@ func (e *Evaluator) QueryHierarchy(l int) (float64, error) {
 }
 
 // nixPR estimates the pages of one primary record that must be retrieved to
-// read the given class sections: 1 when the record fits a page, otherwise
-// the pages covering the sections (the class directory makes partial
-// retrieval possible, Figure 3).
-func (e *Evaluator) nixPR(sections [][2]int) float64 {
+// read the given class sections (byte sizes, a run of one level's
+// nixSection row): 1 when the record fits a page, otherwise the pages
+// covering the sections (the class directory makes partial retrieval
+// possible, Figure 3).
+func (e *Evaluator) nixPR(sections []float64) float64 {
 	if !e.nixPrimary.MultiPage() {
 		return 1
 	}
 	var bytes float64
-	for _, s := range sections {
-		bytes += e.nixSection[s[0]-e.A][s[1]]
+	for _, b := range sections {
+		bytes += b
 	}
 	pr := ceilDiv(bytes, e.nixPrimary.PageSize)
 	if pr < 1 {
@@ -420,19 +383,19 @@ func (e *Evaluator) maintain(l int, class string, del bool) (float64, error) {
 	cs := e.PS.Level(l).Classes[x]
 	switch e.Org {
 	case MX:
-		s := e.cmt(e.mxGeom[l-e.A][x], cs.NIN, 0)
+		s := e.mx[l-e.A].cmt[x]
 		if del && l > e.A {
 			// Deletion also removes the object's OID as a key of the
 			// indexes on the previous level (within the subpath).
-			for j := range e.PS.Level(l - 1).Classes {
-				s += CML(e.mxGeom[l-1-e.A][j], 0)
+			for _, g := range e.mx[l-1-e.A].geom {
+				s += CML(g, 0)
 			}
 		}
 		return s, nil
 	case MIX:
-		s := e.cmt(e.mixGeom[l-e.A], cs.NIN, 0)
+		s := e.mix[l-e.A].cmt[x]
 		if del && l > e.A {
-			s += CML(e.mixGeom[l-1-e.A], 0)
+			s += CML(e.mix[l-1-e.A].geom, 0)
 		}
 		return s, nil
 	case NIX:
@@ -462,11 +425,11 @@ func (e *Evaluator) nixInsert(l, x int, cs model.ClassStats) float64 {
 	}
 	csi24 := 0.0
 	if t := childAccess; t > 0 {
-		csi24 += e.crt(e.nixAux, t, 1)
+		csi24 += CRT(e.nixAux, t, 1)
 	}
-	csi24 += e.crr(childNar+ownAux, e.nixAux)
+	csi24 += CRR(childNar+ownAux, e.nixAux)
 	// CSI3: modify the primary records reachable from the new object.
-	csi3 := e.cmt(e.nixPrimary, e.ninBarS(l), e.nixPMI(l, x))
+	csi3 := CMT(e.nixPrimary, e.ninBarS(l), e.nixPMI(l, x))
 	return csi24 + csi3
 }
 
@@ -485,33 +448,30 @@ func (e *Evaluator) nixDelete(l, x int, cs model.ClassStats) float64 {
 	// Step 2: access the children's 3-tuples and the object's own, rewrite.
 	csd2 := 0.0
 	if t := childAccess + ownAux; t > 0 {
-		csd2 += e.crt(e.nixAux, t, 1)
+		csd2 += CRT(e.nixAux, t, 1)
 	}
-	csd2 += e.crr(childNar+ownAux, e.nixAux)
+	csd2 += CRR(childNar+ownAux, e.nixAux)
 
 	// Step 3a: modify the primary records containing the object.
-	cs3a := e.cmt(e.nixPrimary, e.ninBarS(l), e.nixPMD(l, x))
+	cs3a := CMT(e.nixPrimary, e.ninBarS(l), e.nixPMD(l, x))
 
 	// Steps 3b/3c: propagate through ancestor 3-tuples at levels A+1..l-1.
 	var cu3bc, parSum, narpSum float64
 	par := 1.0
 	for i := l - 1; i >= e.A+1; i-- {
-		par *= e.PS.Level(i).KStar()
-		sizes := make([]float64, e.PS.Level(i).NC())
-		for j, c := range e.PS.Level(i).Classes {
-			sizes[j] = c.N
-		}
-		narp := model.ExpectedNonEmpty(par, sizes)
-		cu3bc += e.crr(narp, e.nixAux)
+		ls := e.PS.Level(i)
+		par *= ls.KStar()
+		narp := ls.ExpectedNonEmpty(par)
+		cu3bc += CRR(narp, e.nixAux)
 		parSum += par
 		narpSum += narp
 	}
 	var saCost float64
 	if parSum > 0 {
-		sa1 := e.yao(parSum, e.nixAux.NK, e.nixAux.LeafPages)
+		sa1 := Yao(parSum, e.nixAux.NK, e.nixAux.LeafPages)
 		var sa2 float64
 		if !e.nixAux.MultiPage() {
-			sa2 = e.yao(narpSum, e.nixAux.NK, e.nixAux.LeafPages)
+			sa2 = Yao(narpSum, e.nixAux.NK, e.nixAux.LeafPages)
 		} else {
 			sa2 = narpSum * e.nixAux.RecordPages()
 		}
@@ -572,13 +532,12 @@ func (e *Evaluator) CMD() float64 {
 	switch e.Org {
 	case MX:
 		var s float64
-		for j := range e.PS.Level(e.B).Classes {
-			g := e.mxGeom[e.B-e.A][j]
+		for _, g := range e.mx[e.B-e.A].geom {
 			s += CML(g, g.RecordPages())
 		}
 		return s
 	case MIX:
-		g := e.mixGeom[e.B-e.A]
+		g := e.mix[e.B-e.A].geom
 		return CML(g, g.RecordPages())
 	case NIX:
 		s := CML(e.nixPrimary, e.nixPrimary.RecordPages())
@@ -592,7 +551,7 @@ func (e *Evaluator) CMD() float64 {
 		}
 		if tt > 0 {
 			if !e.nixAux.MultiPage() {
-				s += e.yao(tt, e.nixAux.NK, e.nixAux.LeafPages)
+				s += Yao(tt, e.nixAux.NK, e.nixAux.LeafPages)
 			} else {
 				s += tt * e.nixAux.RecordPages()
 			}

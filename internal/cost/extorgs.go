@@ -128,14 +128,14 @@ func (e *Evaluator) extQuery(l int, hierarchy bool) (float64, error) {
 	switch e.Org {
 	case NX:
 		if l == e.A {
-			return e.crt(g, t, 0), nil
+			return CRT(g, t, 0), nil
 		}
 		// The structure cannot answer inner-class queries: evaluate by
 		// scanning from level l (the NONE behaviour for that slice).
 		return e.scanCost(l), nil
 	case PX:
 		// Whole records must be read (no class directory).
-		return e.crt(g, t, g.RecordPages()), nil
+		return CRT(g, t, g.RecordPages()), nil
 	}
 	return 0, fmt.Errorf("cost: extQuery on %v", e.Org)
 }
@@ -153,18 +153,18 @@ func (e *Evaluator) extMaintain(l int, nin float64, del bool) (float64, error) {
 		if l == e.A {
 			// The object's own keys are found by forward navigation; the
 			// records are then maintained directly.
-			return e.navDownPages(l) + e.cmt(g, keys, 1), nil
+			return e.navDownPages(l) + CMT(g, keys, 1), nil
 		}
 		// Inner-level update: the affected starting objects can only be
 		// found by scanning the preceding hierarchies (no auxiliary
 		// index), then re-evaluating their membership.
-		return e.scanLevelsPages(e.A, l-1) + e.navDownPages(l) + e.cmt(g, keys, 1), nil
+		return e.scanLevelsPages(e.A, l-1) + e.navDownPages(l) + CMT(g, keys, 1), nil
 	case PX:
 		// Forward navigation from the object yields the affected keys;
 		// each record is rewritten (instantiations added/removed). Whole
 		// records are touched: pm = record pages.
 		pm := g.RecordPages()
-		cost := e.navDownPages(l) + e.cmt(g, keys, pm)
+		cost := e.navDownPages(l) + CMT(g, keys, pm)
 		if del {
 			// Deleting an inner object also invalidates the instantiations
 			// of its ancestors through it; those live in the same records

@@ -140,8 +140,9 @@ func SubpathProcessingCost(ps *model.PathStats, a, b int, org Organization) (Sub
 	return ProcessingCost(e)
 }
 
-// SubpathProcessingCostShared is SubpathProcessingCost through a Shared
-// memo (see NewShared); results are bit-identical to the unshared path.
+// SubpathProcessingCostShared is SubpathProcessingCost reading the
+// per-level tables of sh (see NewShared); results are bit-identical to the
+// unshared path.
 func SubpathProcessingCostShared(ps *model.PathStats, a, b int, org Organization, sh *Shared) (SubpathCost, error) {
 	e, err := NewEvaluatorShared(ps, a, b, org, sh)
 	if err != nil {

@@ -40,22 +40,22 @@ func (e *Evaluator) QueryRange(l int, class string, sel float64) (float64, error
 	}
 	switch e.Org {
 	case MX:
-		s := e.crt(e.mxGeom[l-e.A][x], keys*e.feed(l), 0)
+		s := CRT(e.mx[l-e.A].geom[x], keys*e.feed(l), 0)
 		for i := l + 1; i <= e.B; i++ {
-			for j := range e.PS.Level(i).Classes {
-				s += e.crt(e.mxGeom[i-e.A][j], keys*e.feed(i), 0)
+			for _, g := range e.mx[i-e.A].geom {
+				s += CRT(g, keys*e.feed(i), 0)
 			}
 		}
 		return s, nil
 	case MIX:
 		var s float64
 		for i := l; i <= e.B; i++ {
-			s += e.crt(e.mixGeom[i-e.A], keys*e.feed(i), 0)
+			s += CRT(e.mix[i-e.A].geom, keys*e.feed(i), 0)
 		}
 		return s, nil
 	case NIX:
-		pr := e.nixPR([][2]int{{l, x}})
-		return e.crt(e.nixPrimary, keys*e.feed(e.B), pr), nil
+		pr := e.nixPR(e.nixSection[l-e.A][x : x+1])
+		return CRT(e.nixPrimary, keys*e.feed(e.B), pr), nil
 	case PX, NX:
 		return e.extQueryRange(l, keys)
 	case NONE:
@@ -77,28 +77,21 @@ func (e *Evaluator) QueryRangeHierarchy(l int, sel float64) (float64, error) {
 	switch e.Org {
 	case MX:
 		var s float64
-		for j := range e.PS.Level(l).Classes {
-			s += e.crt(e.mxGeom[l-e.A][j], keys*e.feed(l), 0)
-		}
-		for i := l + 1; i <= e.B; i++ {
-			for j := range e.PS.Level(i).Classes {
-				s += e.crt(e.mxGeom[i-e.A][j], keys*e.feed(i), 0)
+		for i := l; i <= e.B; i++ {
+			for _, g := range e.mx[i-e.A].geom {
+				s += CRT(g, keys*e.feed(i), 0)
 			}
 		}
 		return s, nil
 	case MIX:
 		var s float64
 		for i := l; i <= e.B; i++ {
-			s += e.crt(e.mixGeom[i-e.A], keys*e.feed(i), 0)
+			s += CRT(e.mix[i-e.A].geom, keys*e.feed(i), 0)
 		}
 		return s, nil
 	case NIX:
-		var secs [][2]int
-		for j := range e.PS.Level(l).Classes {
-			secs = append(secs, [2]int{l, j})
-		}
-		pr := e.nixPR(secs)
-		return e.crt(e.nixPrimary, keys*e.feed(e.B), pr), nil
+		pr := e.nixPR(e.nixSection[l-e.A])
+		return CRT(e.nixPrimary, keys*e.feed(e.B), pr), nil
 	case PX, NX:
 		return e.extQueryRange(l, keys)
 	case NONE:
@@ -117,11 +110,11 @@ func (e *Evaluator) extQueryRange(l int, keys float64) (float64, error) {
 	switch e.Org {
 	case NX:
 		if l == e.A {
-			return e.crt(g, t, 0), nil
+			return CRT(g, t, 0), nil
 		}
 		return e.scanCost(l), nil
 	case PX:
-		return e.crt(g, t, g.RecordPages()), nil
+		return CRT(g, t, g.RecordPages()), nil
 	}
 	return 0, fmt.Errorf("cost: extQueryRange on %v", e.Org)
 }

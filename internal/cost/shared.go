@@ -2,68 +2,64 @@ package cost
 
 import "repro/internal/model"
 
-// Shared memoizes the per-level quantities that every subpath evaluator of
-// one path re-derives: the MX and MIX index geometries (which depend only
-// on the level's statistics, not on the subpath bounds), the within-subpath
-// noid chains (which depend only on the subpath's ending level), the global
-// noid* feed values, and the Yao-formula evaluations behind CRT/CMT/CRR.
-// Building the cost matrix of a path of length n constructs n(n+1)/2
-// evaluators; with a Shared attached, the geometry work is done once per
-// level instead of once per subpath, and identical Yao traversals are
-// looked up instead of recomputed.
+// Shared holds the per-level quantities that every subpath evaluator of
+// one path re-derives: the MX and MIX index geometries and the costs that
+// depend only on the level (the equality probe of a level's index at
+// noid*_{l+1} keys, and the maintenance of an object's nin keys), the
+// within-subpath noid chains (which depend only on the subpath's ending
+// level), and the global noid* feed values. Building the cost matrix of a
+// path of length n constructs n(n+1)/2 evaluators per organization; with a
+// Shared attached, this work is done once per level instead of once per
+// subpath.
 //
-// The memoized values are produced by exactly the same computations the
-// unshared evaluator performs, in the same order, so shared and unshared
-// evaluations are bit-identical (the equivalence tests in internal/core
-// rely on this).
-//
-// The geometry and chain tables are immutable after NewShared; the memo
-// maps are not synchronized. A Shared must therefore be used by one
-// goroutine at a time — concurrent workers each take a Fork, which shares
-// the immutable tables but carries private memo maps.
+// The tables are produced by exactly the same computations the unshared
+// evaluator performs, and the evaluator sums them in the same order, so
+// shared and unshared evaluations are bit-identical (the equivalence tests
+// in internal/core rely on this). A Shared is immutable after NewShared
+// and may be used by any number of goroutines.
 type Shared struct {
-	ps *model.PathStats
-
-	mx       [][]*Geom     // [l-1][classIdx]: per-class MX geometry at level l
-	mix      []*Geom       // [l-1]: MIX geometry at level l
+	mx       []mxLevel     // [l-1]
+	mix      []mixLevel    // [l-1]
 	noid     [][][]float64 // [b-1][l-1][classIdx]: noidS chain computed from ending level b
 	noidStar []float64     // [l]: noid*_l for l in 1..n+1
-
-	memo    map[memoKey]float64    // CRT/CMT/CRR results
-	yaoMemo map[[3]float64]float64 // raw Yao(t, n, m) results
 }
 
-// memo kinds; part of the memo key so one map serves all three functions.
-const (
-	kindCRT = iota
-	kindCMT
-	kindCRR
-)
-
-type memoKey struct {
-	g    *Geom
-	t, x float64 // x is pr (CRT), pm (CMT) or unused (CRR)
-	kind uint8
+// mxLevel is the MX organization at one level: one index per class of
+// the hierarchy, keyed by the class's own values.
+type mxLevel struct {
+	geom []*Geom   // [classIdx]
+	crt  []float64 // [classIdx]: CRT at the level's feed noid*_{l+1}
+	cmt  []float64 // [classIdx]: CMT of the class's nin keys
 }
 
-// mxGeomsAt builds the per-class MX index geometries of level l: one
-// index per class of the hierarchy, keyed by the class's own values.
-// Single source for the shared table and the per-evaluator construction.
-func mxGeomsAt(ps *model.PathStats, l int) []*Geom {
+// mixLevel is the MIX organization at one level: one hierarchy-wide index.
+type mixLevel struct {
+	geom *Geom
+	crt  float64   // CRT at the level's feed noid*_{l+1}
+	cmt  []float64 // [classIdx]: CMT of the class's nin keys
+}
+
+// mxLevelAt builds the MX tables of level l probed with feed keys. Single
+// source for the shared table and the per-evaluator construction.
+func mxLevelAt(ps *model.PathStats, l int, feed float64) mxLevel {
 	p := ps.Params
 	page := float64(p.PageSize)
 	entry := float64(p.KeyLen + p.PtrLen)
 	ls := ps.Level(l)
-	row := make([]*Geom, ls.NC())
+	nc := ls.NC()
+	lv := mxLevel{geom: make([]*Geom, nc), crt: make([]float64, nc), cmt: make([]float64, nc)}
 	for x, c := range ls.Classes {
 		ln := float64(p.RecHeader) + c.K()*float64(p.OidLen)
-		row[x] = mustGeom(c.D, ln, page, entry)
+		g := mustGeom(c.D, ln, page, entry)
+		lv.geom[x] = g
+		lv.crt[x] = CRT(g, feed, 0)
+		lv.cmt[x] = CMT(g, c.NIN, 0)
 	}
-	return row
+	return lv
 }
 
-// mixGeomAt builds the hierarchy-wide MIX index geometry of level l.
-func mixGeomAt(ps *model.PathStats, l int) *Geom {
+// mixLevelAt builds the MIX tables of level l probed with feed keys.
+func mixLevelAt(ps *model.PathStats, l int, feed float64) mixLevel {
 	p := ps.Params
 	ls := ps.Level(l)
 	nk := ls.DMax()
@@ -75,7 +71,12 @@ func mixGeomAt(ps *model.PathStats, l int) *Geom {
 	if nk > 0 {
 		ln += entries / nk * float64(p.OidLen)
 	}
-	return mustGeom(nk, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen))
+	g := mustGeom(nk, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen))
+	lv := mixLevel{geom: g, crt: CRT(g, feed, 0), cmt: make([]float64, ls.NC())}
+	for x, c := range ls.Classes {
+		lv.cmt[x] = CMT(g, c.NIN, 0)
+	}
+	return lv
 }
 
 // noidChain builds the within-subpath noid rows for levels lo..b of the
@@ -103,21 +104,9 @@ func noidChain(ps *model.PathStats, lo, b int) [][]float64 {
 func NewShared(ps *model.PathStats) *Shared {
 	n := ps.Len()
 	sh := &Shared{
-		ps:      ps,
-		mx:      make([][]*Geom, n),
-		mix:     make([]*Geom, n),
-		noid:    make([][][]float64, n),
-		memo:    make(map[memoKey]float64),
-		yaoMemo: make(map[[3]float64]float64),
-	}
-	for l := 1; l <= n; l++ {
-		sh.mx[l-1] = mxGeomsAt(ps, l)
-		sh.mix[l-1] = mixGeomAt(ps, l)
-	}
-	// Within-subpath noid chains: the chain for ending level b covers
-	// levels 1..b; a subpath [a,b] uses its suffix starting at level a.
-	for b := 1; b <= n; b++ {
-		sh.noid[b-1] = noidChain(ps, 1, b)
+		mx:   make([]mxLevel, n),
+		mix:  make([]mixLevel, n),
+		noid: make([][][]float64, n),
 	}
 	// Global noid* chain, multiplied from level n downward like
 	// model.PathStats.NoidStar.
@@ -128,63 +117,14 @@ func NewShared(ps *model.PathStats) *Shared {
 		v *= ps.Level(l).KStar()
 		sh.noidStar[l] = v
 	}
+	for l := 1; l <= n; l++ {
+		sh.mx[l-1] = mxLevelAt(ps, l, sh.noidStar[l+1])
+		sh.mix[l-1] = mixLevelAt(ps, l, sh.noidStar[l+1])
+	}
+	// Within-subpath noid chains: the chain for ending level b covers
+	// levels 1..b; a subpath [a,b] uses its suffix starting at level a.
+	for b := 1; b <= n; b++ {
+		sh.noid[b-1] = noidChain(ps, 1, b)
+	}
 	return sh
-}
-
-// Fork returns a view sharing the immutable geometry and chain tables but
-// carrying private memo maps, for use by one worker goroutine.
-func (sh *Shared) Fork() *Shared {
-	return &Shared{
-		ps:       sh.ps,
-		mx:       sh.mx,
-		mix:      sh.mix,
-		noid:     sh.noid,
-		noidStar: sh.noidStar,
-		memo:     make(map[memoKey]float64),
-		yaoMemo:  make(map[[3]float64]float64),
-	}
-}
-
-// crt is CRT through the memo.
-func (sh *Shared) crt(g *Geom, t, pr float64) float64 {
-	k := memoKey{g: g, t: t, x: pr, kind: kindCRT}
-	if v, ok := sh.memo[k]; ok {
-		return v
-	}
-	v := CRT(g, t, pr)
-	sh.memo[k] = v
-	return v
-}
-
-// cmt is CMT through the memo.
-func (sh *Shared) cmt(g *Geom, t, pm float64) float64 {
-	k := memoKey{g: g, t: t, x: pm, kind: kindCMT}
-	if v, ok := sh.memo[k]; ok {
-		return v
-	}
-	v := CMT(g, t, pm)
-	sh.memo[k] = v
-	return v
-}
-
-// crr is CRR through the memo.
-func (sh *Shared) crr(t float64, aux *Geom) float64 {
-	k := memoKey{g: aux, t: t, kind: kindCRR}
-	if v, ok := sh.memo[k]; ok {
-		return v
-	}
-	v := CRR(t, aux)
-	sh.memo[k] = v
-	return v
-}
-
-// yao is Yao through the memo.
-func (sh *Shared) yao(t, n, m float64) float64 {
-	k := [3]float64{t, n, m}
-	if v, ok := sh.yaoMemo[k]; ok {
-		return v
-	}
-	v := Yao(t, n, m)
-	sh.yaoMemo[k] = v
-	return v
 }

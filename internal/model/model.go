@@ -403,19 +403,29 @@ func (ps *PathStats) NinBar(l int) float64 {
 // hierarchy receiving at least one of t values when values land on classes
 // with probability proportional to class cardinality (DESIGN.md §3.3).
 func ExpectedNonEmpty(t float64, sizes []float64) float64 {
-	if t <= 0 || len(sizes) == 0 {
+	return expectedNonEmpty(t, sizes, func(s float64) float64 { return s })
+}
+
+// ExpectedNonEmpty is the package-level ExpectedNonEmpty over the class
+// cardinalities of this level, without building a sizes slice.
+func (ls *LevelStats) ExpectedNonEmpty(t float64) float64 {
+	return expectedNonEmpty(t, ls.Classes, func(c ClassStats) float64 { return c.N })
+}
+
+func expectedNonEmpty[T any](t float64, items []T, size func(T) float64) float64 {
+	if t <= 0 || len(items) == 0 {
 		return 0
 	}
 	var total float64
-	for _, s := range sizes {
-		total += s
+	for _, it := range items {
+		total += size(it)
 	}
 	if total <= 0 {
 		return 0
 	}
 	var e float64
-	for _, s := range sizes {
-		p := s / total
+	for _, it := range items {
+		p := size(it) / total
 		switch {
 		case p >= 1:
 			e++
@@ -433,12 +443,7 @@ func (ps *PathStats) Nar(lPlus1 int, nin float64) float64 {
 	if lPlus1 < 1 || lPlus1 > ps.Len() {
 		return 0
 	}
-	ls := ps.Level(lPlus1)
-	sizes := make([]float64, len(ls.Classes))
-	for i, c := range ls.Classes {
-		sizes[i] = c.N
-	}
-	return ExpectedNonEmpty(nin, sizes)
+	return ps.Level(lPlus1).ExpectedNonEmpty(nin)
 }
 
 // Figure7Stats returns the database and workload characteristics of
