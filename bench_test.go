@@ -464,3 +464,37 @@ func BenchmarkReconfigure(b *testing.B) {
 	b.ReportMetric(float64(reused)/float64(b.N), "structures-reused/op")
 	b.ReportMetric(float64(built)/float64(b.N), "structures-built/op")
 }
+
+// BenchmarkIndexBuild times building a configuration's structures from
+// scratch over a Figure 7 store at scale 0.05 (exec.NewIndexSet: the
+// set-up every open, recovery and reconfiguration pays for an assignment
+// it cannot reuse). nix-1-4 is a whole-path NIX; paper-pick is Example
+// 5.1's optimum. Reported beside time and allocations: the page accesses
+// the build charges to the index pagers (per build).
+func BenchmarkIndexBuild(b *testing.B) {
+	ps := Figure7Stats()
+	g, err := gen.Generate(ps, 0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		cfg  core.Configuration
+	}{
+		{"nix-1-4", core.Configuration{Assignments: []core.Assignment{{A: 1, B: 4, Org: NIX}}}},
+		{"paper-pick", core.Configuration{Assignments: []core.Assignment{{A: 1, B: 2, Org: NIX}, {A: 3, B: 4, Org: MX}}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var pages uint64
+			for i := 0; i < b.N; i++ {
+				set, err := exec.NewIndexSet(g.Store, g.Path, bc.cfg, ps.Params.PageSize, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pages += set.Stats().Accesses()
+			}
+			b.ReportMetric(float64(pages)/float64(b.N), "index-pages/op")
+		})
+	}
+}

@@ -71,7 +71,17 @@
 // and recycles matrix buffers through a sync.Pool; SelectMulti fans its
 // per-path selections out the same way. The storage pager behind the
 // working indexes uses an O(1) intrusive-list LRU and atomic statistics
-// counters, so concurrent readers do not serialize on bookkeeping. See
+// counters, so concurrent readers do not serialize on bookkeeping.
+//
+// Building a configuration's structures is the set-up every Open, shard
+// open, durable recovery and reconfiguration pays. index.Load fills each
+// fresh structure in one fixed order (deepest level first, ascending
+// OIDs). A NIX runs its Section 3.1 insertion algorithm against an
+// in-memory write-back table and then writes each primary record and
+// 3-tuple once, in key order, rather than re-encoding and re-inserting a
+// growing record per object: a whole-path NIX over the Figure 7
+// population at scale 0.05 builds in ~90 ms instead of ~6.6 s, and its
+// primary tree comes out one leaf, one descent level shallower. See
 // DESIGN.md for measured numbers.
 //
 // # Engine

@@ -107,7 +107,7 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 		s.indexes[i] = ix
 		fresh = append(fresh, i)
 	}
-	// Bulk load, deepest level first within each index (the order NIX
+	// Bulk load (index.Load: deepest level first, the order NIX
 	// maintenance relies on). Each fresh index owns a disjoint level range
 	// and a dedicated pager, so they load concurrently. Store access is
 	// read-only: Peek does not count page accesses; PX additionally reads
@@ -115,17 +115,8 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 	// buffer bookkeeping make concurrent counting safe (and, with the
 	// store's unbuffered pager, deterministic in total).
 	load := func(i int) error {
-		asg := cfg.Assignments[i]
-		ix := s.indexes[i]
-		for l := asg.B; l >= asg.A; l-- {
-			for _, cn := range p.HierarchyAt(l) {
-				for _, oid := range st.OIDsOfClass(cn) {
-					obj, _ := st.Peek(oid)
-					if err := ix.OnInsert(obj); err != nil {
-						return fmt.Errorf("exec: loading %s: %w", cn, err)
-					}
-				}
-			}
+		if err := index.Load(st, p, s.indexes[i]); err != nil {
+			return fmt.Errorf("exec: %w", err)
 		}
 		return nil
 	}

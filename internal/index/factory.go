@@ -39,3 +39,35 @@ func New(st *oodb.Store, p *schema.Path, a, b int, org cost.Organization, pageSi
 		return nil, fmt.Errorf("index: organization %v has no working implementation", org)
 	}
 }
+
+// Load bulk-loads an index New just built with the store's objects in its
+// subpath's scope: deepest level first, each class in ascending OID
+// order. Under the forward-reference model every object's references
+// then point at objects already indexed, which is the order the NIX
+// insertion algorithm relies on, and a given store always loads the same
+// way. A NIX runs that algorithm against a write-back table and writes
+// each record once at the end (bulkLoad); the other organizations insert
+// through. On error the index is partially loaded and must be discarded.
+func Load(st *oodb.Store, p *schema.Path, ix PathIndex) error {
+	a, b := ix.Bounds()
+	insertAll := func() error {
+		for l := b; l >= a; l-- {
+			for _, cn := range p.HierarchyAt(l) {
+				for _, oid := range st.OIDsOfClass(cn) {
+					obj, ok := st.Peek(oid)
+					if !ok {
+						return fmt.Errorf("index: loading %s: object %d left the store during the load", cn, oid)
+					}
+					if err := ix.OnInsert(obj); err != nil {
+						return fmt.Errorf("index: loading %s object %d: %w", cn, oid, err)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if nx, ok := ix.(*NestedInheritedIndex); ok {
+		return nx.bulkLoad(insertAll)
+	}
+	return insertAll()
+}

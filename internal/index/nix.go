@@ -3,7 +3,8 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/cost"
@@ -42,6 +43,46 @@ type NestedInheritedIndex struct {
 	// OID's page; the registry avoids charging object-store accesses to
 	// the index pager.
 	ownerClass map[oodb.OID]string
+	// table, non-nil only while Load fills the empty index, is the
+	// write-back table the record and 3-tuple accessors go to instead of
+	// the trees.
+	table *loadTable
+}
+
+// loadTable holds the decoded primary records (by encoded key) and
+// 3-tuples (by OID) of a NIX being bulk-loaded. The insertion algorithm
+// mutates them in place; bulkLoad writes each to its tree once. A miss
+// reads as an absent record or tuple, which is only true of an empty
+// index.
+type loadTable struct {
+	records map[string]*nixRecord
+	aux     map[oodb.OID]*auxTuple
+}
+
+// bulkLoad runs insert — the insertion algorithm over every object in
+// scope — against a write-back table, then writes each non-empty primary
+// record and every 3-tuple to its B+-tree exactly once, in ascending key
+// order. A record rewritten as the load grows it would reallocate its
+// overflow pages on every object and split leaves it would not need; in
+// key order each leaf fills once. On error nothing is written.
+func (nx *NestedInheritedIndex) bulkLoad(insert func() error) error {
+	if nx.primary.Len() > 0 || nx.aux.Len() > 0 {
+		return fmt.Errorf("index: NIX bulk load into a non-empty index")
+	}
+	nx.table = &loadTable{records: make(map[string]*nixRecord), aux: make(map[oodb.OID]*auxTuple)}
+	defer func() { nx.table = nil }()
+	if err := insert(); err != nil {
+		return err
+	}
+	for _, k := range slices.Sorted(maps.Keys(nx.table.records)) {
+		if rec := nx.table.records[k]; !rec.empty() {
+			nx.primary.Insert([]byte(k), nx.encodeRecord(rec))
+		}
+	}
+	for _, oid := range slices.Sorted(maps.Keys(nx.table.aux)) {
+		nx.aux.Insert(EncodeOID(oid), encodeAux(nx.table.aux[oid]))
+	}
+	return nil
 }
 
 // NewNestedInheritedIndex allocates the NIX for subpath [a..b].
@@ -224,6 +265,10 @@ func decodeAux(b []byte) (*auxTuple, error) {
 		t.parents = append(t.parents, oodb.OID(binary.BigEndian.Uint64(b[off:])))
 		off += 8
 	}
+	// The parent list is kept ascending in memory (addParent inserts by
+	// binary search). Tuples written here already are; sorting makes it
+	// hold for any bytes read back.
+	slices.Sort(t.parents)
 	nq := int(binary.BigEndian.Uint32(b[off:]))
 	off += 4
 	for i := 0; i < nq; i++ {
@@ -241,14 +286,11 @@ func decodeAux(b []byte) (*auxTuple, error) {
 	return t, nil
 }
 
+// addParent inserts p into the ascending, duplicate-free parent list.
 func (t *auxTuple) addParent(p oodb.OID) {
-	for _, x := range t.parents {
-		if x == p {
-			return
-		}
+	if i, found := slices.BinarySearch(t.parents, p); !found {
+		t.parents = slices.Insert(t.parents, i, p)
 	}
-	t.parents = append(t.parents, p)
-	sort.Slice(t.parents, func(i, j int) bool { return t.parents[i] < t.parents[j] })
 }
 
 func (t *auxTuple) removeParent(p oodb.OID) {
@@ -281,6 +323,10 @@ func (t *auxTuple) removePointer(key []byte) {
 }
 
 func (nx *NestedInheritedIndex) getAux(oid oodb.OID) (*auxTuple, bool, error) {
+	if nx.table != nil {
+		t, ok := nx.table.aux[oid]
+		return t, ok, nil
+	}
 	raw, ok := nx.aux.Get(EncodeOID(oid))
 	if !ok {
 		return nil, false, nil
@@ -293,6 +339,10 @@ func (nx *NestedInheritedIndex) getAux(oid oodb.OID) (*auxTuple, bool, error) {
 }
 
 func (nx *NestedInheritedIndex) putAux(oid oodb.OID, t *auxTuple) {
+	if nx.table != nil {
+		nx.table.aux[oid] = t
+		return
+	}
 	nx.aux.Insert(EncodeOID(oid), encodeAux(t))
 }
 
@@ -810,8 +860,17 @@ func (nx *NestedInheritedIndex) BoundaryDelete(oid oodb.OID) error {
 }
 
 // loadRecord fetches and decodes the record under an encoded key,
-// returning an empty record when absent.
+// returning an empty record when absent. During a bulk load it returns
+// the table's record itself, entering an empty one on a miss.
 func (nx *NestedInheritedIndex) loadRecord(k []byte) (*nixRecord, error) {
+	if nx.table != nil {
+		rec, ok := nx.table.records[string(k)]
+		if !ok {
+			rec = nx.newRecord()
+			nx.table.records[string(k)] = rec
+		}
+		return rec, nil
+	}
 	raw, ok := nx.primary.Get(k)
 	if !ok {
 		return nx.newRecord(), nil
@@ -819,8 +878,12 @@ func (nx *NestedInheritedIndex) loadRecord(k []byte) (*nixRecord, error) {
 	return nx.decodeRecord(raw)
 }
 
-// storeRecord writes a record back, deleting it when empty.
+// storeRecord writes a record back, deleting it when empty. During a bulk
+// load the table already holds rec, and the write waits for the flush.
 func (nx *NestedInheritedIndex) storeRecord(k []byte, rec *nixRecord) {
+	if nx.table != nil {
+		return
+	}
 	if rec.empty() {
 		nx.primary.Delete(k)
 		return

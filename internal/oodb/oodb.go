@@ -671,17 +671,20 @@ func (st *Store) ScanHierarchy(root string, fn func(*Object) bool) {
 	}
 }
 
-// OIDsOfClass returns the OIDs of the class's objects (no page accesses;
-// catalog information).
+// OIDsOfClass returns the OIDs of the class's objects in ascending order
+// (no page accesses; catalog information). The order is a function of the
+// store's contents alone, so whatever walks a class through it — an index
+// bulk load above all — does the same work on every run.
 func (st *Store) OIDsOfClass(class string) []OID {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
 	var out []OID
 	for _, slot := range st.classPages[class] {
 		for oid := range slot.oids {
 			out = append(out, oid)
 		}
 	}
+	st.mu.RUnlock()
+	slices.Sort(out)
 	return out
 }
 

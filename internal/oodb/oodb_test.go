@@ -2,6 +2,8 @@ package oodb
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -284,6 +286,36 @@ func TestOIDsOfClassAndPeek(t *testing.T) {
 	}
 	if st.Pager().Stats().Reads != 0 {
 		t.Error("Peek counted a page access")
+	}
+}
+
+// TestOIDsOfClassAscending pins the listing order: ascending OIDs across
+// every page of the class, whatever the per-page bookkeeping, so a bulk
+// load over the same store does the same work each time.
+func TestOIDsOfClassAscending(t *testing.T) {
+	st := newStore(t)
+	var want []OID
+	for i := 0; i < 300; i++ {
+		oid, err := st.Insert("Division", map[string][]Value{"name": {StrV(fmt.Sprintf("d%03d", i))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 3 {
+			if err := st.Delete(oid); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want = append(want, oid)
+	}
+	if st.PagesOfClass("Division") < 2 {
+		t.Fatalf("want a multi-page class, got %d page(s)", st.PagesOfClass("Division"))
+	}
+	for i := 0; i < 3; i++ {
+		if got := st.OIDsOfClass("Division"); !slices.Equal(got, want) {
+			t.Fatalf("OIDsOfClass = %d OIDs (sorted %v), want %d ascending",
+				len(got), slices.IsSorted(got), len(want))
+		}
 	}
 }
 
